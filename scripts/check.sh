@@ -4,7 +4,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
